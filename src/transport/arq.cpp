@@ -2,9 +2,23 @@
 
 #include <algorithm>
 
-#include "transport/seqnum.hpp"
-
 namespace bneck::transport {
+namespace {
+
+// No jitter and no retry budget: a simulated link never dies.
+GoBackNConfig core_config(const ArqConfig& cfg, TimeNs rtt) {
+  // timeout 0 derives 4x the round trip (data out, ack back), with a
+  // floor so zero-delay test links still get a sane timer.
+  const TimeNs rto = cfg.timeout != 0
+                         ? cfg.timeout
+                         : std::max<TimeNs>(4 * rtt, microseconds(10));
+  const bool capped = cfg.backoff > 1.0 && cfg.max_timeout > 0;
+  return {.window = cfg.window, .rto_initial = rto,
+          .rto_max = capped ? cfg.max_timeout : kTimeNever,
+          .backoff = cfg.backoff, .first_seq = cfg.first_seq};
+}
+
+}  // namespace
 
 ArqChannel::ArqChannel(sim::Simulator& sim, sim::FifoChannel& data_channel,
                        sim::FifoChannel& ack_channel, TimeNs data_tx,
@@ -18,122 +32,64 @@ ArqChannel::ArqChannel(sim::Simulator& sim, sim::FifoChannel& data_channel,
       data_prop_(data_prop),
       ack_tx_(ack_tx),
       ack_prop_(ack_prop),
-      cfg_(config),
+      loss_(config.loss_probability),
       rng_(rng),
       deliver_(std::move(deliver)),
-      on_wire_(std::move(on_wire)) {
+      on_wire_(std::move(on_wire)),
+      gbn_(core_config(config, data_tx + data_prop + ack_tx + ack_prop)) {
   data_rx_.self = this;
   ack_rx_.self = this;
-  BNECK_EXPECT(cfg_.window >= 1, "ARQ window must be positive");
-  BNECK_EXPECT(cfg_.loss_probability >= 0.0 && cfg_.loss_probability < 1.0,
+  BNECK_EXPECT(loss_ >= 0.0 && loss_ < 1.0,
                "loss probability must be in [0,1)");
-  BNECK_EXPECT(cfg_.backoff >= 1.0, "backoff must be >= 1");
-  if (cfg_.timeout == 0) {
-    // 4x the round trip (data out, ack back) plus a floor so zero-delay
-    // test links still get a sane timer.
-    cfg_.timeout = std::max<TimeNs>(
-        4 * (data_tx_ + data_prop_ + ack_tx_ + ack_prop_), microseconds(10));
-  }
-  rto_ = cfg_.timeout;
-  next_seq_ = cfg_.first_seq;
-  send_base_ = cfg_.first_seq;
-  expected_ = cfg_.first_seq;
 }
 
-void ArqChannel::send(Packet p) {
-  window_.push_back(InFlight{next_seq_++, p, false});
-  // Transmit immediately if inside the sender window.
-  if (seq_lt(window_.back().seq,
-             send_base_ + static_cast<std::uint64_t>(cfg_.window))) {
-    wire_send_data(window_.back());
-  }
-  arm_timer();
-}
-
-void ArqChannel::wire_send_data(InFlight& entry) {
-  ++data_sends_;
-  if (entry.on_wire) ++retx_;
-  entry.on_wire = true;
-  if (on_wire_) on_wire_(entry.packet);
-  const TimeNs arrival =
-      data_channel_.transmit(sim_.now(), data_tx_, data_prop_);
-  if (rng_.chance(cfg_.loss_probability)) {
+template <class Rx, class Frame>
+void ArqChannel::wire(sim::FifoChannel& channel, TimeNs tx, TimeNs prop,
+                      Rx& rx, const Frame& frame) {
+  const TimeNs arrival = channel.transmit(sim_.now(), tx, prop);
+  if (rng_.chance(loss_)) {
     ++losses_;  // occupied the wire, never arrives
     return;
   }
-  sim_.schedule_delivery_at(arrival, data_rx_,
-                            DataFrame{entry.packet, entry.seq});
+  sim_.schedule_delivery_at(arrival, rx, frame);
+}
+
+auto ArqChannel::emitter() {
+  return [this](std::uint64_t seq, const Packet& p) {
+    if (on_wire_) on_wire_(p);
+    wire(data_channel_, data_tx_, data_prop_, data_rx_, DataFrame{p, seq});
+  };
+}
+
+void ArqChannel::send(Packet p) {
+  gbn_.send(p, sim_.now(), emitter());
+  schedule_timer();
 }
 
 void ArqChannel::on_data(std::uint64_t seq, const Packet& p) {
-  if (seq == expected_) {
-    ++expected_;
-    deliver_(p);
-  }
-  // Go-back-N: out-of-order data is dropped; every arrival triggers a
-  // cumulative ack (which also repairs lost acks).
-  send_ack();
-}
-
-void ArqChannel::send_ack() {
+  if (gbn_.on_data(seq)) deliver_(p);
+  // Every arrival triggers a cumulative ack, which also repairs lost acks.
   ++acks_sent_;
-  const TimeNs arrival = ack_channel_.transmit(sim_.now(), ack_tx_, ack_prop_);
-  if (rng_.chance(cfg_.loss_probability)) {
-    ++losses_;
-    return;
-  }
-  sim_.schedule_delivery_at(arrival, ack_rx_, AckFrame{expected_});
+  wire(ack_channel_, ack_tx_, ack_prop_, ack_rx_, AckFrame{gbn_.expected()});
 }
 
 void ArqChannel::on_ack(std::uint64_t cumulative) {
-  if (seq_le(cumulative, send_base_)) return;  // stale
-  while (!window_.empty() && seq_lt(window_.front().seq, cumulative)) {
-    window_.pop_front();
-  }
-  send_base_ = cumulative;
-  rto_ = cfg_.timeout;  // ack progress resets the backoff
-  // Window slid forward: transmit newly admitted packets.
-  for (auto& entry : window_) {
-    if (!seq_lt(entry.seq,
-                send_base_ + static_cast<std::uint64_t>(cfg_.window))) {
-      break;
-    }
-    if (!entry.on_wire) wire_send_data(entry);
-  }
-  if (window_.empty()) {
-    ++timer_generation_;  // logically cancel the timer
-    timer_armed_ = false;
-  } else {
-    ++timer_generation_;
-    timer_armed_ = false;
-    arm_timer();
-  }
+  gbn_.on_ack(cumulative, sim_.now(), emitter());
+  schedule_timer();
 }
 
-void ArqChannel::arm_timer() {
-  if (timer_armed_ || window_.empty()) return;
-  timer_armed_ = true;
-  const std::uint64_t generation = timer_generation_;
-  sim_.schedule_in(rto_, [this, generation] { on_timeout(generation); });
-}
-
-void ArqChannel::on_timeout(std::uint64_t generation) {
-  if (generation != timer_generation_ || window_.empty()) return;
-  // Retransmit everything inside the window.
-  timer_armed_ = false;
-  ++timer_generation_;
-  for (auto& entry : window_) {
-    if (!seq_lt(entry.seq,
-                send_base_ + static_cast<std::uint64_t>(cfg_.window))) {
-      break;
-    }
-    wire_send_data(entry);
-  }
-  if (cfg_.backoff > 1.0) {
-    rto_ = static_cast<TimeNs>(static_cast<double>(rto_) * cfg_.backoff);
-    if (cfg_.max_timeout > 0) rto_ = std::min(rto_, cfg_.max_timeout);
-  }
-  arm_timer();
+// One simulator timer per arming of the core's deadline; a superseded
+// timer still fires, as a no-op.  Keying on the arming count, not on the
+// deadline's value, keeps the schedule calls and so the simulator's
+// (time, seq) tie-breaks exactly those of one timer per arming.
+void ArqChannel::schedule_timer() {
+  if (gbn_.arms() == scheduled_arms_) return;
+  scheduled_arms_ = gbn_.arms();
+  sim_.schedule_at(gbn_.next_deadline(), [this, arms = scheduled_arms_] {
+    if (arms != scheduled_arms_) return;
+    gbn_.on_timer(sim_.now(), emitter());
+    schedule_timer();
+  });
 }
 
 }  // namespace bneck::transport

@@ -1,29 +1,22 @@
-// Reliable in-order link transport (go-back-N ARQ) with loss injection.
+// Reliable in-order simulated links (go-back-N ARQ) with loss injection.
 //
-// The B-Neck correctness argument assumes links deliver protocol packets
-// reliably and in FIFO order (docs/protocol.md).  Real networks drop
-// packets, and a lost Update or Response deadlocks the protocol: nothing
-// retransmits, so the event queue drains with sessions stuck in
-// WAITING_* states.  This module supplies what a deployment would put
-// underneath B-Neck: per-directed-link go-back-N with cumulative
-// acknowledgements, giving exactly-once in-order delivery over lossy
-// links while preserving quiescence (when there is nothing unacked,
-// there are no timers and no traffic).
-//
-// One ArqChannel instance manages one directed link: the sender state of
-// that direction plus the receiver state (expected sequence number) and
-// the acks that flow back over the reverse link.  Loss is injected on
-// the wire in both directions with the configured probability.
+// B-Neck assumes reliable FIFO links (docs/protocol.md); with loss and no
+// repair, a lost Update or Response leaves sessions stuck in WAITING_*
+// states.  ArqChannel is the simulator's adapter over the sans-IO
+// go-back-N core (transport/gbn.hpp): one instance per directed link
+// carries core::Packet data frames on its FifoChannel, cumulative acks on
+// the reverse one, draws loss for every frame in both directions, and
+// turns each arming of the core's deadline into one simulator timer.
+// With nothing unacked there are no timers and no traffic.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 
 #include "base/rng.hpp"
 #include "core/packet.hpp"
-#include "net/network.hpp"
 #include "sim/simulator.hpp"
+#include "transport/gbn.hpp"
 
 namespace bneck::transport {
 
@@ -36,15 +29,12 @@ struct ArqConfig {
   std::int32_t window = 32;
   /// Retransmission timeout; 0 = derive 4x RTT from the link parameters.
   TimeNs timeout = 0;
-  /// Timeout multiplier per silent retransmission round; 1 keeps the
-  /// classic fixed-interval behavior.  Any ack progress resets to the
-  /// base timeout.
+  /// Timeout multiplier per silent round; 1 = fixed interval.  Ack
+  /// progress resets to the base timeout.
   double backoff = 1.0;
   /// Backoff ceiling; 0 = uncapped.
   TimeNs max_timeout = 0;
-  /// Initial sequence number.  Comparisons use serial-number arithmetic
-  /// (transport/seqnum.hpp), so a channel started near 2^64 wraps
-  /// through zero without stalling or re-delivering.
+  /// Initial sequence number (serial arithmetic wraps through 2^64).
   std::uint64_t first_seq = 0;
 };
 
@@ -70,29 +60,19 @@ class ArqChannel {
   /// Queues a packet for reliable in-order delivery at the far end.
   void send(Packet p);
 
-  [[nodiscard]] std::uint64_t data_sends() const { return data_sends_; }
-  [[nodiscard]] std::uint64_t retransmissions() const { return retx_; }
+  [[nodiscard]] std::uint64_t data_sends() const { return gbn_.data_sends(); }
+  [[nodiscard]] std::uint64_t retransmissions() const {
+    return gbn_.retransmissions();
+  }
   [[nodiscard]] std::uint64_t acks_sent() const { return acks_sent_; }
   [[nodiscard]] std::uint64_t losses() const { return losses_; }
-  [[nodiscard]] bool idle() const { return window_.empty(); }
+  [[nodiscard]] bool idle() const { return gbn_.idle(); }
 
  private:
-  struct InFlight {
-    std::uint64_t seq;
-    Packet packet;
-    bool on_wire = false;  // sent at least once since the last timeout
-  };
-
-  // Wire frames cross the simulator as typed events (sim/event.hpp):
-  // data frames carry {packet, seq}, ack frames the cumulative sequence
-  // number — no allocation per transmission.
-  struct DataFrame {
-    Packet packet;
-    std::uint64_t seq;
-  };
-  struct AckFrame {
-    std::uint64_t cumulative;
-  };
+  // Frames cross the simulator as typed events (sim/event.hpp), with no
+  // allocation per transmission.
+  struct DataFrame { Packet packet; std::uint64_t seq; };
+  struct AckFrame { std::uint64_t cumulative; };
   static_assert(sizeof(DataFrame) <= sim::Event::kInlinePayloadBytes);
   struct DataRx final : sim::DeliveryHandlerOf<DataRx, DataFrame> {
     ArqChannel* self = nullptr;
@@ -103,37 +83,27 @@ class ArqChannel {
     void on_delivery(const AckFrame& f) { self->on_ack(f.cumulative); }
   };
 
-  void wire_send_data(InFlight& entry);
+  auto emitter();  // the core's emit functor
+  template <class Rx, class Frame>
+  void wire(sim::FifoChannel& channel, TimeNs tx, TimeNs prop, Rx& rx,
+            const Frame& frame);
   void on_data(std::uint64_t seq, const Packet& p);
-  void send_ack();
   void on_ack(std::uint64_t cumulative);
-  void arm_timer();
-  void on_timeout(std::uint64_t generation);
+  void schedule_timer();
 
   sim::Simulator& sim_;
   sim::FifoChannel& data_channel_;
   sim::FifoChannel& ack_channel_;
   TimeNs data_tx_, data_prop_, ack_tx_, ack_prop_;
-  ArqConfig cfg_;
+  double loss_;
   Rng rng_;
   DeliverFn deliver_;
   WireFn on_wire_;
-
-  std::deque<InFlight> window_;   // unacked + queued, seq order
-  std::uint64_t next_seq_ = 0;    // next sequence number to assign
-  std::uint64_t send_base_ = 0;   // lowest unacked sequence number
-  std::uint64_t expected_ = 0;    // receiver: next in-order sequence
-  std::uint64_t timer_generation_ = 0;
-  TimeNs rto_ = 0;                // current (possibly backed-off) timeout
-  bool timer_armed_ = false;
-
+  GoBackN<Packet> gbn_;
+  std::uint64_t scheduled_arms_ = 0;  // gbn_.arms() of the newest timer
   DataRx data_rx_;
   AckRx ack_rx_;
-
-  std::uint64_t data_sends_ = 0;
-  std::uint64_t retx_ = 0;
-  std::uint64_t acks_sent_ = 0;
-  std::uint64_t losses_ = 0;
+  std::uint64_t acks_sent_ = 0, losses_ = 0;
 };
 
 }  // namespace bneck::transport

@@ -2,109 +2,38 @@
 
 #include <algorithm>
 
-#include "base/expect.hpp"
 #include "wire/codec.hpp"
 
 namespace bneck::transport {
+namespace {
+
+GoBackNConfig core_config(const ReliableConfig& cfg) {
+  return {.window = cfg.window, .rto_initial = cfg.rto_initial,
+          .rto_max = std::max(cfg.rto_max, cfg.rto_initial),
+          .backoff = cfg.backoff, .jitter = cfg.jitter,
+          .max_retries = cfg.max_retries, .seed = cfg.seed,
+          .first_seq = cfg.first_seq};
+}
+
+}  // namespace
 
 ReliableChannel::ReliableChannel(const ReliableConfig& cfg, RawSend raw)
-    : cfg_(cfg),
-      raw_(std::move(raw)),
-      rng_(cfg.seed),
-      next_seq_(cfg.first_seq),
-      send_base_(cfg.first_seq),
-      expected_(cfg.first_seq),
-      rto_(cfg.rto_initial) {
-  BNECK_EXPECT(cfg_.window >= 1, "reliable window must be positive");
-  BNECK_EXPECT(cfg_.rto_initial > 0, "rto must be positive");
-  BNECK_EXPECT(cfg_.backoff >= 1.0, "backoff must be >= 1");
-  BNECK_EXPECT(cfg_.jitter >= 0.0 && cfg_.jitter < 1.0,
-               "jitter must be in [0,1)");
-  BNECK_EXPECT(cfg_.max_retries >= 1, "max_retries must be positive");
-  if (cfg_.rto_max < cfg_.rto_initial) cfg_.rto_max = cfg_.rto_initial;
-}
+    : raw_(std::move(raw)), gbn_(core_config(cfg)) {}
 
 bool ReliableChannel::send(std::span<const std::uint8_t> packet_frame,
                            TimeNs now) {
-  if (failed_) return false;
-  InFlight entry;
-  entry.seq = next_seq_++;
-  wire::encode_data(entry.seq, packet_frame, entry.frame);
-  window_.push_back(std::move(entry));
-  if (seq_lt(window_.back().seq,
-             send_base_ + static_cast<std::uint64_t>(cfg_.window))) {
-    wire_send(window_.back());
-  }
-  if (deadline_ == kTimeNever) arm(now);
-  return true;
-}
-
-void ReliableChannel::wire_send(InFlight& entry) {
-  ++data_sends_;
-  if (entry.on_wire) ++retx_;
-  entry.on_wire = true;
-  raw_(entry.frame);  // a refused datagram is wire loss; the timer repairs it
-}
-
-bool ReliableChannel::on_data(std::uint64_t seq) {
-  if (seq != expected_) {
-    ++dups_;  // duplicate or out-of-order: suppressed, ack re-sent by owner
-    return false;
-  }
-  ++expected_;
-  return true;
+  if (gbn_.failed()) return false;
+  Frame frame;
+  wire::encode_data(gbn_.next_seq(), packet_frame, frame);
+  return gbn_.send(std::move(frame), now, emitter());
 }
 
 void ReliableChannel::on_ack(std::uint64_t cumulative, TimeNs now) {
-  if (seq_le(cumulative, send_base_)) return;  // stale
-  if (seq_lt(next_seq_, cumulative)) return;   // hostile: acks the future
-  while (!window_.empty() && seq_lt(window_.front().seq, cumulative)) {
-    window_.pop_front();
-  }
-  send_base_ = cumulative;
-  // Progress: reset the backoff and the failure countdown.
-  rto_ = cfg_.rto_initial;
-  silent_rounds_ = 0;
-  // Window slid forward: transmit newly admitted frames.
-  for (auto& entry : window_) {
-    if (!seq_lt(entry.seq,
-                send_base_ + static_cast<std::uint64_t>(cfg_.window))) {
-      break;
-    }
-    if (!entry.on_wire) wire_send(entry);
-  }
-  deadline_ = kTimeNever;
-  if (!window_.empty()) arm(now);
+  gbn_.on_ack(cumulative, now, emitter());
 }
 
 std::size_t ReliableChannel::poll(TimeNs now) {
-  if (failed_ || window_.empty() || now < deadline_) return 0;
-  if (++silent_rounds_ > cfg_.max_retries) {
-    failed_ = true;
-    deadline_ = kTimeNever;
-    return 0;
-  }
-  std::size_t sent = 0;
-  for (auto& entry : window_) {
-    if (!seq_lt(entry.seq,
-                send_base_ + static_cast<std::uint64_t>(cfg_.window))) {
-      break;
-    }
-    wire_send(entry);
-    ++sent;
-  }
-  rto_ = std::min<TimeNs>(
-      static_cast<TimeNs>(static_cast<double>(rto_) * cfg_.backoff),
-      cfg_.rto_max);
-  arm(now);
-  return sent;
-}
-
-void ReliableChannel::arm(TimeNs now) {
-  const double scale =
-      1.0 + (cfg_.jitter > 0 ? rng_.uniform_real(-cfg_.jitter, cfg_.jitter)
-                             : 0.0);
-  deadline_ = now + static_cast<TimeNs>(static_cast<double>(rto_) * scale);
+  return gbn_.on_timer(now, emitter());
 }
 
 }  // namespace bneck::transport
