@@ -43,21 +43,24 @@ ArqChannel::ArqChannel(sim::Simulator& sim, sim::FifoChannel& data_channel,
                "loss probability must be in [0,1)");
 }
 
+// Puts one frame on `channel`; returns when its transmission starts.
 template <class Rx, class Frame>
-void ArqChannel::wire(sim::FifoChannel& channel, TimeNs tx, TimeNs prop,
-                      Rx& rx, const Frame& frame) {
+TimeNs ArqChannel::wire(sim::FifoChannel& channel, TimeNs tx, TimeNs prop,
+                        Rx& rx, const Frame& frame) {
   const TimeNs arrival = channel.transmit(sim_.now(), tx, prop);
   if (rng_.chance(loss_)) {
     ++losses_;  // occupied the wire, never arrives
-    return;
+  } else {
+    sim_.schedule_delivery_at(arrival, rx, frame);
   }
-  sim_.schedule_delivery_at(arrival, rx, frame);
+  return arrival - prop - tx;
 }
 
 auto ArqChannel::emitter() {
   return [this](std::uint64_t seq, const Packet& p) {
     if (on_wire_) on_wire_(p);
-    wire(data_channel_, data_tx_, data_prop_, data_rx_, DataFrame{p, seq});
+    return wire(data_channel_, data_tx_, data_prop_, data_rx_,
+                DataFrame{p, seq});
   };
 }
 

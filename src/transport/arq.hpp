@@ -25,17 +25,13 @@ using core::Packet;
 struct ArqConfig {
   /// Probability that any wire transmission (data or ack) is lost.
   double loss_probability = 0.0;
-  /// Go-back-N sender window.
-  std::int32_t window = 32;
-  /// Retransmission timeout; 0 = derive 4x RTT from the link parameters.
-  TimeNs timeout = 0;
+  std::int32_t window = 32;  // go-back-N sender window
+  TimeNs timeout = 0;        // retransmission timeout; 0 = 4x the RTT
   /// Timeout multiplier per silent round; 1 = fixed interval.  Ack
   /// progress resets to the base timeout.
   double backoff = 1.0;
-  /// Backoff ceiling; 0 = uncapped.
-  TimeNs max_timeout = 0;
-  /// Initial sequence number (serial arithmetic wraps through 2^64).
-  std::uint64_t first_seq = 0;
+  TimeNs max_timeout = 0;       // backoff ceiling; 0 = uncapped
+  std::uint64_t first_seq = 0;  // serial arithmetic wraps through 2^64
 };
 
 class ArqChannel {
@@ -85,8 +81,8 @@ class ArqChannel {
 
   auto emitter();  // the core's emit functor
   template <class Rx, class Frame>
-  void wire(sim::FifoChannel& channel, TimeNs tx, TimeNs prop, Rx& rx,
-            const Frame& frame);
+  TimeNs wire(sim::FifoChannel& channel, TimeNs tx, TimeNs prop, Rx& rx,
+              const Frame& frame);
   void on_data(std::uint64_t seq, const Packet& p);
   void on_ack(std::uint64_t cumulative);
   void schedule_timer();

@@ -10,11 +10,15 @@
 // arrival with expected(), which also repairs lost acks.
 //
 // The core does no I/O and owns no clock.  Inputs: send, on_data, on_ack,
-// on_timer(now).  Outputs: emit(seq, payload) once per transmission (the
-// functor is passed to each call), on_data's deliver-or-drop verdict and
-// next_deadline().  transport::ArqChannel adapts it to simulator links
-// and timers, transport::ReliableChannel to wire frames over UDP.  With
-// nothing unacked there is no deadline and no traffic (quiescence).
+// on_timer(now).  Outputs: on_data's deliver-or-drop verdict,
+// next_deadline(), and one call of the emit functor passed to each input
+// per transmission: emit(seq, payload) returns when the frame starts
+// transmission, and the deadline runs the RTO from the later of `now`
+// and the newest departure, so a window queued behind a busy link is
+// timed from when it leaves, not from when it was queued.
+// transport::ArqChannel adapts the core to simulator links and timers,
+// transport::ReliableChannel to wire frames over UDP.  With nothing
+// unacked there is no deadline and no traffic (quiescence).
 #pragma once
 
 #include <algorithm>
@@ -161,14 +165,15 @@ class GoBackN {
     ++data_sends_;
     if (entry.on_wire) ++retx_;
     entry.on_wire = true;
-    emit(entry.seq, std::as_const(entry.payload));
+    last_departure_ = emit(entry.seq, std::as_const(entry.payload));
   }
 
   void arm(TimeNs now) {
     const double scale =
         1.0 + (cfg_.jitter > 0 ? rng_.uniform_real(-cfg_.jitter, cfg_.jitter)
                                : 0.0);
-    deadline_ = now + static_cast<TimeNs>(static_cast<double>(rto_) * scale);
+    deadline_ = std::max(now, last_departure_) +
+                static_cast<TimeNs>(static_cast<double>(rto_) * scale);
     ++arms_;
   }
 
@@ -180,6 +185,7 @@ class GoBackN {
   std::uint64_t expected_;       // receiver: next in-order sequence
   TimeNs rto_;                   // current (backed-off) timeout
   TimeNs deadline_ = kTimeNever;
+  TimeNs last_departure_ = 0;    // of the newest transmission
   std::uint64_t arms_ = 0;
   std::int64_t silent_rounds_ = 0;
   bool failed_ = false;

@@ -25,15 +25,15 @@ bool ReliableChannel::send(std::span<const std::uint8_t> packet_frame,
   if (gbn_.failed()) return false;
   Frame frame;
   wire::encode_data(gbn_.next_seq(), packet_frame, frame);
-  return gbn_.send(std::move(frame), now, emitter());
+  return gbn_.send(std::move(frame), now, emitter(now));
 }
 
 void ReliableChannel::on_ack(std::uint64_t cumulative, TimeNs now) {
-  gbn_.on_ack(cumulative, now, emitter());
+  gbn_.on_ack(cumulative, now, emitter(now));
 }
 
 std::size_t ReliableChannel::poll(TimeNs now) {
-  return gbn_.on_timer(now, emitter());
+  return gbn_.on_timer(now, emitter(now));
 }
 
 }  // namespace bneck::transport

@@ -23,23 +23,16 @@
 namespace bneck::transport {
 
 struct ReliableConfig {
-  /// Go-back-N sender window (max unacked Data frames in flight).
-  std::int32_t window = 64;
-  /// First retransmission fires this long after the original send.
-  TimeNs rto_initial = milliseconds(20);
-  /// Backoff ceiling.
-  TimeNs rto_max = milliseconds(640);
-  /// RTO multiplier per silent retransmission round.
-  double backoff = 2.0;
+  std::int32_t window = 64;               // max unacked Data frames
+  TimeNs rto_initial = milliseconds(20);  // first retransmission delay
+  TimeNs rto_max = milliseconds(640);     // backoff ceiling
+  double backoff = 2.0;                   // RTO multiplier per silent round
   /// Each RTO is scaled by 1 ± jitter, so channels' retransmit storms
-  /// decorrelate.
+  /// decorrelate; the jitter stream is seeded by `seed`.
   double jitter = 0.1;
-  /// Rounds with no ack progress before the channel fails (peer gone).
-  std::int32_t max_retries = 10;
-  /// Seed for the jitter stream; schedules are deterministic per seed.
+  std::int32_t max_retries = 10;  // silent rounds before failing (peer gone)
   std::uint64_t seed = 1;
-  /// Initial sequence number (wraparound tests start near 2^64).
-  std::uint64_t first_seq = 0;
+  std::uint64_t first_seq = 0;  // wraparound tests start near 2^64
 };
 
 class ReliableChannel {
@@ -79,8 +72,11 @@ class ReliableChannel {
  private:
   using Frame = std::vector<std::uint8_t>;  // complete encoded Data frame
 
-  auto emitter() {  // the core's emit functor
-    return [this](std::uint64_t, const Frame& frame) { raw_(frame); };
+  auto emitter(TimeNs now) {  // the core's emit functor
+    return [this, now](std::uint64_t, const Frame& frame) {
+      raw_(frame);
+      return now;  // a datagram departs when it is handed to the kernel
+    };
   }
 
   RawSend raw_;

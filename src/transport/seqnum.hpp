@@ -1,12 +1,13 @@
 // Serial-number arithmetic for ARQ sequence numbers (RFC 1982 style).
 //
-// Both reliability layers — the simulator-driven ArqChannel and the
-// wall-clock ReliableChannel — number frames with unsigned 64-bit
-// sequence numbers that are compared *modulo 2^64*: a - b interpreted
-// as a signed distance.  At protocol rates a 64-bit counter never wraps
-// in practice, but the state machines must not depend on that (the
-// wraparound tests in tests/arq_test.cpp start channels a few frames
-// below 2^64), and serial comparisons cost the same as plain ones.
+// The go-back-N core (transport/gbn.hpp), and so both of its adapters —
+// the simulator's ArqChannel and the socket ReliableChannel — numbers
+// frames with unsigned 64-bit sequence numbers compared *modulo 2^64*:
+// a - b interpreted as a signed distance.  At protocol rates a 64-bit
+// counter never wraps in practice, but the core must not depend on that
+// (tests/gbn_test.cpp and the adapters' wraparound tests start channels
+// a few frames below 2^64), and serial comparisons cost the same as
+// plain ones.
 #pragma once
 
 #include <cstdint>

@@ -223,6 +223,41 @@ TEST(CheckRunner, HandBuiltScenarioReportsPhases) {
   EXPECT_GT(r.events_processed, 0u);
 }
 
+TEST(CheckRunner, LossySharedAccessTreeQuiesces) {
+  // Fuzz seed 79407, shrunk: a window queued behind a shared access
+  // link used to time out before it was even sent, re-send itself onto
+  // the same queue and never drain.  The ARQ retransmit timer now starts
+  // at departure; the scenario quiesces in a few thousand events, and
+  // the small budget makes a regression fail fast.
+  const Scenario sc = parse_spec(
+      "v1 topo=tree a=1 b=0 hpr=1 hosts=6 tseed=0 rcap=100 acap=100 wan=0 "
+      "loss=0.05947177012435817 seed=79407 shared=1 "
+      "ev=j@141558:s0:h0>h1:d35.491434005390389;"
+      "j@228747:s1:h1>h0:dinf;"
+      "j@419080:s2:h0>h1:dinf;"
+      "l@544449:s1;"
+      "c@661781:s0:dinf;"
+      "j@866460:s4:h1>h0:dinf:w1.8452581143061755;"
+      "j@866460:s5:h1>h0:d25.835865080905684:w3.3972138186263572;"
+      "j@897485:s7:h1>h0:dinf:w2.7027890544002728;"
+      "j@1013962:s8:h0>h1:dinf;"
+      "j@1238681:s10:h1>h0:dinf:w1.8051326278583819;"
+      "j@1332185:s11:h0>h1:dinf;"
+      "j@1452044:s13:h0>h1:dinf;"
+      "j@1452044:s14:h0>h1:dinf;"
+      "j@1604052:s15:h0>h1:dinf;"
+      "j@2206235:s21:h1>h0:dinf:w3.7547350459195878;"
+      "j@2360284:s22:h0>h1:dinf;"
+      "j@2542499:s23:h0>h1:dinf;"
+      "j@2888418:s31:h0>h1:dinf;"
+      "c@4015708:s7:dinf;"
+      "c@4200126:s31:d2.3592046163505875:w3.9872947581610481");
+  CheckOptions opt;
+  opt.max_events = 1'000'000;
+  const CheckResult r = run_scenario(sc, opt);
+  EXPECT_TRUE(r.ok) << r.message;
+}
+
 // ---- the checker on the broken protocol (fault injection) ----
 
 CheckOptions fault_options() {
