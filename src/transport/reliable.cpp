@@ -22,7 +22,6 @@ ReliableChannel::ReliableChannel(const ReliableConfig& cfg, RawSend raw)
 
 bool ReliableChannel::send(std::span<const std::uint8_t> packet_frame,
                            TimeNs now) {
-  if (gbn_.failed()) return false;
   Frame frame;
   wire::encode_data(gbn_.next_seq(), packet_frame, frame);
   return gbn_.send(std::move(frame), now, emitter(now));
